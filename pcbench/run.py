@@ -10,7 +10,8 @@ runs the benchmark's own unit tests, then runs the workload in its own
 process. The workload's report goes to stdout; its last line is one JSON
 object {"correct", "attempted", "failed", "metrics"}. Build output and
 diagnostics go to stderr. Any failure - build, unit test, correctness
-gate - exits non-zero without printing a result.
+gate, a metric set other than BENCHMARK.json's list for the mode that
+ran - exits non-zero without printing a result.
 """
 
 import argparse
@@ -47,6 +48,17 @@ def build():
             fail("build failed: " + " ".join(step))
 
 
+def declared_metrics(trace):
+    """{name: unit} BENCHMARK.json lists for --trace @trace."""
+    try:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as spec_file:
+            spec = json.load(spec_file)
+        metrics = spec["per_layer" if trace else "end_to_end"]
+        return {m["name"]: m["unit"] for m in metrics}
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        fail(f"cannot read the metric list from BENCHMARK.json: {error}")
+
+
 def run(cmd):
     """Run @cmd to completion (killed at the timeout); (code, stdout)."""
     with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=sys.stderr,
@@ -70,6 +82,7 @@ def main():
     if args.seed < 0 or args.seconds <= 0:
         fail("--seed must be >= 0 and --seconds > 0")
 
+    declared = declared_metrics(args.trace)
     build()
     code, out = run([os.path.join(BUILD, "pcbench_selftest")])
     sys.stderr.write(out)
@@ -95,6 +108,14 @@ def main():
             or result["correct"] is not True):
         sys.stderr.write(out)
         fail("malformed or incorrect result")
+    printed = {name: metric.get("unit")
+               for name, metric in result["metrics"].items()}
+    if printed != declared:
+        sys.stderr.write(out)
+        differ = sorted(name for name in set(printed) | set(declared)
+                        if printed.get(name) != declared.get(name))
+        fail("printed metrics differ from BENCHMARK.json: "
+             + ", ".join(differ))
     sys.stdout.write(out)
     return 0
 

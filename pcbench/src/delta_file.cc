@@ -1,10 +1,11 @@
 /**
  * @file
  * Workload delta_file: one job with 64 MiB of state on a FileStorage
- * (mmap + msync) over an in-memory file, 100 ms of modeled compute per
- * iteration. Sparse updates touch 1% of the state per iteration; every
- * iteration seals a delta frame, every 100th also requests a full
- * checkpoint, which streams to one in-process peer replica at quorum 1.
+ * (mmap + msync) over an in-memory file, 10 ms of modeled compute
+ * (spun, see spin_for) per iteration. Sparse updates touch 1% of the
+ * state per iteration; every iteration seals a delta frame, every 100th
+ * also requests a full checkpoint, which streams to one in-process peer
+ * replica at quorum 1.
  * The run stops mid-chain, so recovery replays frames. Small CRC-framed
  * appends, msync, replication and delta replay do the work here.
  */
@@ -42,7 +43,7 @@ using namespace pccheck;
 constexpr Bytes kState = 64 * kMiB;
 constexpr Bytes kChunk = 4 * kMiB;
 constexpr Bytes kDeltaLog = 192 * kMiB;
-constexpr Seconds kCompute = 0.100;
+constexpr Seconds kCompute = 0.010;
 constexpr std::uint64_t kFullEvery = 100;
 constexpr double kFraction = 0.01;
 /** Frames on the newest full checkpoint's chain when the run ends. */
@@ -311,7 +312,7 @@ run_delta_file(const Options& opt, double seconds, bool traced)
     ck->finish();
     std::uint64_t it = 0;
     for (; it < kFullEvery; ++it) {
-        gpu.launch_kernel(kCompute);
+        spin_for(kCompute);
         ck->before_update(it + 1);
         state.sparse_update(it + 1, kFraction, opt.seed);
         ck->request_delta(it + 1);
@@ -344,7 +345,7 @@ run_delta_file(const Options& opt, double seconds, bool traced)
             break;
         }
         ++it;
-        gpu.launch_kernel(kCompute);
+        spin_for(kCompute);
         driver.before_update(it);
         state.sparse_update(it, kFraction, opt.seed);
         driver.request_delta(it);
@@ -377,8 +378,15 @@ run_delta_file(const Options& opt, double seconds, bool traced)
     const auto durable_full = probe.durable(0);
     ck.reset();
 
-    std::vector<LatencySample> latency = driver.calls().sync_latency;
-    append_async_latencies(durable_full, driver.calls(), &latency);
+    Latencies latency;
+    latency.sync = driver.calls().sync_latency;
+    append_async_latencies(durable_full, driver.calls(), &latency.full);
+    // Latency windows are whole 100-iteration cycles, each opened by a
+    // full checkpoint request, so every window holds the same mix.
+    std::vector<double> cycle_starts;
+    for (const auto& [iteration, t] : driver.calls().request_time) {
+        cycle_starts.push_back(t);
+    }
     std::uint64_t newest = driver.calls().last_sync_iteration;
     if (!durable_full.empty()) {
         newest = std::max(newest, durable_full.back().first);
@@ -386,7 +394,8 @@ run_delta_file(const Options& opt, double seconds, bool traced)
     gate(newest > 0, "delta_file: nothing became durable");
 
     // Recovery (base image + frame replay) from the file the run left
-    // behind, compared byte for byte with the shadow replay.
+    // behind; each image is then compared byte for byte with the shadow
+    // replay, outside the timed call.
     const std::vector<std::uint8_t> shadow = shadow_at(kState, opt.seed, newest);
     std::vector<double> recover_s;
     std::uint64_t replayed = 0;
@@ -395,10 +404,10 @@ run_delta_file(const Options& opt, double seconds, bool traced)
         std::vector<std::uint8_t> image;
         const double t0 = now_s();
         const auto recovered = recover_latest(device, &image);
+        recover_s.push_back(now_s() - t0);
         gate(recovered && recovered->iteration == newest && image == shadow,
              "delta_file: recovered image is not the shadow replay of the "
              "newest durable frame");
-        recover_s.push_back(now_s() - t0);
         replayed = recovered->delta_frames;
     }
     const CountingStorage::Counters recovery_io = device.counters();
@@ -414,7 +423,7 @@ run_delta_file(const Options& opt, double seconds, bool traced)
     e["durable_points_s"] = {static_cast<double>(durable_points) /
                                  (drained - driver.calls().first_request),
                              "1/s"};
-    put_latency(latency, !opt.trace, &e);
+    put_latency(latency, cycle_starts, !opt.trace, &e, &out.per_layer);
     e["stall_frac"] = {driver.blocked_s() / window, "ratio"};
     e["ckpt_durable_frac"] = {static_cast<double>(durable_points) /
                                   static_cast<double>(out.attempted),
@@ -431,7 +440,6 @@ run_delta_file(const Options& opt, double seconds, bool traced)
                     static_cast<double>(stats.delta_bytes),
                 &m);
     put_recovery_reads(recovery_io, kRecoveries, &m);
-    m["ckpt.latency_samples"].value = static_cast<double>(latency.size());
     m["proc.threads_peak"].value = static_cast<double>(threads_peak);
     m["delta.frames"].value = static_cast<double>(stats.delta_frames);
     m["delta.bytes"].value = static_cast<double>(stats.delta_bytes);

@@ -5,16 +5,16 @@
  * tenants of 64 KiB. Four driver threads run lockstep rounds with a
  * barrier per round, so which tenant lags is set by the seeded
  * schedule rather than the OS scheduler. Most tenants checkpoint every
- * round after 2 ms of modeled compute; one in eight (two coalesced
- * tenants per shard, at staggered phases) checkpoints only once per
- * 1.5 segment-ring laps. Per-request
+ * round after 2 ms of modeled compute (spun, see spin_for); one in
+ * eight (two coalesced tenants per shard, at staggered phases)
+ * checkpoints only once per 1.5 segment-ring laps. Per-request
  * coordination does the work: admission, arbiter, segment group
  * commit and reclaim gate, the shared writer pool.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -45,8 +45,11 @@ constexpr Bytes kGpuMemory = 4 * kMiB;
 constexpr int kPrivatePerShard = 2;
 constexpr int kRarePerShard = 2;
 constexpr Bytes kRecordHeader = 64;
-constexpr int kSetupWarmups = 20;
-constexpr int kSetups = 61;
+/** Set-ups timed together as one sample: one takes a fraction of a
+ *  millisecond, and single set-ups fall into two modes about 2x apart
+ *  whose mix varies from run to run. */
+constexpr int kSetupBatch = 20;
+constexpr int kSetupBatches = 15;
 constexpr int kRecoveries = 15;
 constexpr std::uint64_t kMinRounds = 100;
 /** Untimed rounds before the window: three segment-ring laps. */
@@ -54,7 +57,7 @@ constexpr std::uint64_t kWarmupRounds = 450;
 /** Rounds between samples of the process's thread count. */
 constexpr std::uint64_t kThreadSampleRounds = 256;
 /** Modeled compute of one training round, per driver. */
-constexpr auto kRoundCompute = std::chrono::milliseconds(2);
+constexpr Seconds kRoundCompute = 0.002;
 
 /** Service description; private tenants are the first kPrivatePerShard
  *  ids routed to each shard, everyone else coalesces. */
@@ -137,18 +140,21 @@ make_schedule(const ServiceConfig& config)
 }
 
 /** Resolve every tenant from @p backends and check it against the
- *  stamp oracle and its watermark; returns the elapsed seconds. */
+ *  stamp oracle and its watermark; returns the seconds spent inside
+ *  resolve_tenant (the checks are not timed). */
 double
 resolve_all(const ServiceConfig& config,
             const std::vector<StorageDevice*>& backends,
             const std::vector<TenantWatermark>& floor, std::uint64_t seed,
             const char* what)
 {
-    const double t0 = now_s();
+    double resolve_s = 0;
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
         const std::uint64_t id = config.tenants[t].id;
+        const double t0 = now_s();
         const TenantRecovery rec =
             CheckpointService::resolve_tenant(config, backends, id);
+        resolve_s += now_s() - t0;
         if (floor[t].valid) {
             gate(rec.found && rec.result.iteration >= floor[t].iteration,
                  std::string(what) + ": tenant " + std::to_string(id) +
@@ -161,7 +167,7 @@ resolve_all(const ServiceConfig& config,
                      " image is not its stamped state");
         }
     }
-    return now_s() - t0;
+    return resolve_s;
 }
 
 /** Crash one shard at a seeded op (after the format) of a short
@@ -287,23 +293,27 @@ run_fleet(const Options& opt, double seconds, bool traced)
     }
 
     // Set-up: service construction (backend format, writer pool) plus
-    // tenant attach, repeated; the last one runs. It takes well under a
-    // millisecond, so the first kSetupWarmups (allocator and page
-    // warm-up, paid once per process) are not timed.
+    // tenant attach, repeated; the last one runs. One sample is the mean
+    // over a batch of kSetupBatch set-ups (tear-down not timed); the
+    // first batch warms the allocator and pages and is not kept.
     std::vector<double> setup_s;
     std::unique_ptr<CheckpointService> service;
     std::vector<Checkpointer*> sessions;
-    for (int i = 0; i < kSetupWarmups + kSetups; ++i) {
-        service.reset();
-        sessions.clear();
-        const double t0 = now_s();
-        service = std::make_unique<CheckpointService>(config, backends);
-        for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-            sessions.push_back(
-                service->attach_tenant(config.tenants[t].id, *states[t]));
+    for (int b = 0; b <= kSetupBatches; ++b) {
+        double batch_s = 0;
+        for (int i = 0; i < kSetupBatch; ++i) {
+            service.reset();
+            sessions.clear();
+            const double t0 = now_s();
+            service = std::make_unique<CheckpointService>(config, backends);
+            for (std::size_t t = 0; t < config.tenants.size(); ++t) {
+                sessions.push_back(service->attach_tenant(
+                    config.tenants[t].id, *states[t]));
+            }
+            batch_s += now_s() - t0;
         }
-        if (i >= kSetupWarmups) {
-            setup_s.push_back(now_s() - t0);
+        if (b > 0) {
+            setup_s.push_back(batch_s / kSetupBatch);
         }
     }
 
@@ -327,7 +337,7 @@ run_fleet(const Options& opt, double seconds, bool traced)
             threads.emplace_back([&, d] {
                 for (;;) {
                     const std::uint64_t round = rounds + 1;
-                    std::this_thread::sleep_for(kRoundCompute);
+                    spin_for(kRoundCompute);
                     for (std::size_t t = d; t < ckpts.size(); t += kDrivers) {
                         ckpts[t]->before_update(round);
                         states[t]->stamp(round);
@@ -443,7 +453,7 @@ run_fleet(const Options& opt, double seconds, bool traced)
         watermarks.push_back(service->watermark(spec.id));
     }
 
-    std::vector<LatencySample> latency;
+    Latencies latency;
     CheckpointerStats stats;
     std::uint64_t requests = 0;
     double blocked = 0;
@@ -463,13 +473,14 @@ run_fleet(const Options& opt, double seconds, bool traced)
         }
         payload += static_cast<double>(completed) *
                    static_cast<double>(config.tenants[t].state_bytes);
-        latency.insert(latency.end(), driver.calls().sync_latency.begin(),
-                       driver.calls().sync_latency.end());
+        latency.sync.insert(latency.sync.end(),
+                            driver.calls().sync_latency.begin(),
+                            driver.calls().sync_latency.end());
     }
     for (std::size_t w = 0; w < window_tenant.size(); ++w) {
         append_async_latencies(probe.durable(w),
                                drivers[window_tenant[w]]->calls(),
-                               &latency);
+                               &latency.full);
     }
     std::vector<const TimedCheckpointer*> driver_views;
     for (const auto& driver : drivers) {
@@ -507,7 +518,7 @@ run_fleet(const Options& opt, double seconds, bool traced)
     e["durable_points_s"] = {
         static_cast<double>(stats.completed) / (drained - first_request),
         "1/s"};
-    put_latency(latency, !opt.trace, &e);
+    put_latency(latency, {}, !opt.trace, &e, &out.per_layer);
     e["stall_frac"] = {blocked / (kDrivers * window), "ratio"};
     e["ckpt_durable_frac"] = {static_cast<double>(stats.completed) /
                                   static_cast<double>(requests),
@@ -519,7 +530,6 @@ run_fleet(const Options& opt, double seconds, bool traced)
     put_trace_layers(spans, &m);
     put_storage(io, payload, &m);
     put_recovery_reads(recovery_io, kRecoveries, &m);
-    m["ckpt.latency_samples"].value = static_cast<double>(latency.size());
     m["proc.threads_peak"].value = static_cast<double>(threads_peak);
     m["service.admitted"].value = static_cast<double>(service_stats.admitted);
     m["service.rejected"].value = static_cast<double>(service_stats.rejected);
@@ -530,11 +540,12 @@ run_fleet(const Options& opt, double seconds, bool traced)
         static_cast<double>(service_stats.segment_seals);
     m["service.segment_recycles"].value =
         static_cast<double>(service_stats.segment_recycles);
+    // With no record appended this reads the seal count, so the
+    // metric still falls as the ring starvation eases.
     m["service.seals_per_record"].value =
-        service_stats.coalesced_records
-            ? static_cast<double>(service_stats.segment_seals) /
-                  static_cast<double>(service_stats.coalesced_records)
-            : 0.0;
+        static_cast<double>(service_stats.segment_seals) /
+        static_cast<double>(
+            std::max<std::uint64_t>(service_stats.coalesced_records, 1));
     if (traced) {
         std::vector<double> per_tenant_s;
         for (const TenantSpec& spec : config.tenants) {

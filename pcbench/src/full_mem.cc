@@ -215,25 +215,26 @@ run_full_mem(const Options& opt, double seconds, bool traced)
     const auto durable = probe.durable(0);
     ck.reset();
 
-    std::vector<LatencySample> latency;
-    append_async_latencies(durable, driver.calls(), &latency);
+    Latencies latency;
+    append_async_latencies(durable, driver.calls(), &latency.full);
     gate(!durable.empty(), "full_mem: no checkpoint became durable");
     const std::uint64_t newest = durable.back().first;
 
-    // Recovery from the media the run left behind, verified against
-    // the stamp oracle, into a fresh buffer each time.
+    // Recovery from the media the run left behind, into a fresh buffer
+    // each time; each image is then checked against the stamp oracle,
+    // outside the timed call.
     std::vector<double> recover_s;
     device.reset_counters();
     for (int r = 0; r < kRecoveries; ++r) {
         std::vector<std::uint8_t> image;
         const double t0 = now_s();
         const auto recovered = recover_latest(device, &image);
+        recover_s.push_back(now_s() - t0);
         gate(recovered && recovered->iteration >= newest &&
                  matches_stamp_oracle(image, opt.seed, 0,
                                       recovered->iteration),
              "full_mem: recovered image is not the newest durable "
              "stamped state");
-        recover_s.push_back(now_s() - t0);
     }
     const CountingStorage::Counters recovery_io = device.counters();
     crash_leg(opt.seed);
@@ -247,7 +248,7 @@ run_full_mem(const Options& opt, double seconds, bool traced)
         static_cast<double>(stats.completed) /
             (drained - driver.calls().first_request),
         "1/s"};
-    put_latency(latency, !opt.trace, &e);
+    put_latency(latency, {}, !opt.trace, &e, &out.per_layer);
     e["stall_frac"] = {driver.blocked_s() / window, "ratio"};
     e["ckpt_durable_frac"] = {static_cast<double>(stats.completed) /
                                   static_cast<double>(out.attempted),
@@ -261,7 +262,6 @@ run_full_mem(const Options& opt, double seconds, bool traced)
     put_trace_layers(spans, &m);
     put_storage(io, static_cast<double>(stats.completed) * kState, &m);
     put_recovery_reads(recovery_io, kRecoveries, &m);
-    m["ckpt.latency_samples"].value = static_cast<double>(latency.size());
     m["proc.threads_peak"].value = static_cast<double>(threads_peak);
 
     if (traced) {

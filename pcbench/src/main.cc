@@ -146,8 +146,13 @@ main(int argc, char** argv)
     }
     print_metrics("calibration", calibration);
     print_metrics(opt.trace ? "per_layer" : "end_to_end", reported);
-    std::printf("latency samples: %.0f\n",
-                run.per_layer.at("ckpt.latency_samples").value);
+    // Beside the percentiles: how many samples they rest on, and what
+    // they are made of (synchronous delta frames or coalesced records,
+    // and asynchronous full checkpoints).
+    std::printf("latency samples: %.0f in windows (%.0f sync, %.0f full)\n",
+                run.per_layer.at("ckpt.latency_samples").value,
+                run.per_layer.at("ckpt.sync_samples").value,
+                run.per_layer.at("ckpt.full_samples").value);
 
     std::string json = "{\"correct\": true, \"attempted\": " +
                        std::to_string(run.attempted) +

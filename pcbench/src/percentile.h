@@ -47,20 +47,37 @@ median(std::vector<double> samples)
 }
 
 /**
- * Median over @p windows consecutive, equal slices of @p samples (kept
- * in arrival order) of each slice's p-quantile. A burst of host noise
- * confined to a minority of the slices does not move the result, which
- * a single quantile over the whole run would absorb. One window is
- * percentile(). Throws when @p windows is 0 or exceeds the sample count.
+ * Median over @p windows of each window's p-quantile. A burst of host
+ * noise confined to a minority of the windows does not move the result,
+ * which a single quantile over the whole run would absorb. Throws when
+ * there is no window or a window is empty.
  */
 inline double
-windowed_percentile(const std::vector<double>& samples, double p,
-                    std::size_t windows)
+median_of_percentiles(const std::vector<std::vector<double>>& windows,
+                      double p)
+{
+    if (windows.empty()) {
+        throw std::invalid_argument("no window to take a percentile of");
+    }
+    std::vector<double> per_window;
+    for (const std::vector<double>& window : windows) {
+        per_window.push_back(percentile(window, p));
+    }
+    return median(std::move(per_window));
+}
+
+/**
+ * @p samples (kept in arrival order) cut into @p windows consecutive
+ * slices whose sizes differ by at most one. Throws when @p windows is 0
+ * or exceeds the sample count.
+ */
+inline std::vector<std::vector<double>>
+split_windows(const std::vector<double>& samples, std::size_t windows)
 {
     if (windows == 0 || windows > samples.size()) {
         throw std::invalid_argument("bad window count for the samples");
     }
-    std::vector<double> per_window;
+    std::vector<std::vector<double>> slices;
     for (std::size_t w = 0; w < windows; ++w) {
         const auto begin = samples.begin() +
                            static_cast<std::ptrdiff_t>(samples.size() * w /
@@ -68,9 +85,35 @@ windowed_percentile(const std::vector<double>& samples, double p,
         const auto end = samples.begin() +
                          static_cast<std::ptrdiff_t>(samples.size() *
                                                      (w + 1) / windows);
-        per_window.push_back(percentile({begin, end}, p));
+        slices.emplace_back(begin, end);
     }
-    return median(std::move(per_window));
+    return slices;
+}
+
+/**
+ * Windows cut at the times @p starts: window j holds the values of
+ * @p timed (time, value) pairs whose time lies in [starts[j],
+ * starts[j + 1]), in input order. Values before the first start or at or
+ * after the last are left out, and so are windows that hold none.
+ */
+inline std::vector<std::vector<double>>
+split_at(const std::vector<std::pair<double, double>>& timed,
+         std::vector<double> starts)
+{
+    std::sort(starts.begin(), starts.end());
+    std::vector<std::vector<double>> windows(
+        starts.empty() ? 0 : starts.size() - 1);
+    for (const auto& [time, value] : timed) {
+        const auto next =
+            std::upper_bound(starts.begin(), starts.end(), time);
+        if (next != starts.begin() && next != starts.end()) {
+            windows[next - starts.begin() - 1].push_back(value);
+        }
+    }
+    std::erase_if(windows, [](const std::vector<double>& window) {
+        return window.empty();
+    });
+    return windows;
 }
 
 }  // namespace pcbench

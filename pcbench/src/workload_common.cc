@@ -163,30 +163,63 @@ append_async_latencies(
 }
 
 void
-put_latency(std::vector<LatencySample> samples, bool reported,
-            Metrics* metrics)
+put_latency(const Latencies& latencies, std::vector<double> cycle_starts,
+            bool reported, Metrics* end_to_end, Metrics* per_layer)
 {
-    if (reported) {
-        gate(samples.size() >= kMinLatencySamples,
-             "fewer than 100 latency samples (" +
-                 std::to_string(samples.size()) + ")");
-    } else if (samples.empty()) {
-        return;
-    }
+    std::vector<LatencySample> samples = latencies.sync;
+    samples.insert(samples.end(), latencies.full.begin(),
+                   latencies.full.end());
     std::sort(samples.begin(), samples.end(),
               [](const LatencySample& a, const LatencySample& b) {
                   return a.requested < b.requested;
               });
-    std::vector<double> ordered_s;
-    for (const LatencySample& sample : samples) {
-        ordered_s.push_back(sample.latency_s);
+    std::vector<std::vector<double>> windows;
+    if (cycle_starts.size() >= 2) {
+        std::vector<std::pair<double, double>> timed;
+        for (const LatencySample& sample : samples) {
+            timed.emplace_back(sample.requested, sample.latency_s);
+        }
+        windows = split_at(timed, std::move(cycle_starts));
+    } else if (!samples.empty()) {
+        std::vector<double> ordered_s;
+        for (const LatencySample& sample : samples) {
+            ordered_s.push_back(sample.latency_s);
+        }
+        windows = split_windows(
+            ordered_s, std::clamp<std::size_t>(
+                           samples.size() / kLatencyWindowSamples, 1,
+                           kLatencyWindows));
     }
-    const std::size_t windows = std::clamp<std::size_t>(
-        ordered_s.size() / kLatencyWindowSamples, 1, kLatencyWindows);
-    (*metrics)["ckpt_latency_p50_ms"] = {
-        windowed_percentile(ordered_s, 0.5, windows) * 1e3, "ms"};
-    (*metrics)["ckpt_latency_p90_ms"] = {
-        windowed_percentile(ordered_s, 0.9, windows) * 1e3, "ms"};
+    std::size_t windowed = 0;
+    for (const std::vector<double>& window : windows) {
+        windowed += window.size();
+    }
+    if (reported) {
+        gate(windowed >= kMinLatencySamples,
+             "fewer than 100 latency samples (" + std::to_string(windowed) +
+                 ")");
+        gate(latencies.full.size() >= kMinFullSamples,
+             "fewer than 5 full checkpoints became durable (" +
+                 std::to_string(latencies.full.size()) + ")");
+    }
+    Metrics& m = *per_layer;
+    m["ckpt.latency_samples"].value = static_cast<double>(windowed);
+    m["ckpt.sync_samples"].value = static_cast<double>(latencies.sync.size());
+    m["ckpt.full_samples"].value = static_cast<double>(latencies.full.size());
+    Metrics& e = *end_to_end;
+    if (!windows.empty()) {
+        e["ckpt_latency_p50_ms"] = {median_of_percentiles(windows, 0.5) * 1e3,
+                                    "ms"};
+        e["ckpt_latency_p90_ms"] = {median_of_percentiles(windows, 0.9) * 1e3,
+                                    "ms"};
+    }
+    if (!latencies.full.empty()) {
+        std::vector<double> full_s;
+        for (const LatencySample& sample : latencies.full) {
+            full_s.push_back(sample.latency_s);
+        }
+        e["full_ckpt_latency_ms"] = {median(full_s) * 1e3, "ms"};
+    }
 }
 
 double
@@ -239,7 +272,8 @@ empty_per_layer()
         "service.admitted", "service.rejected", "service.throttled",
         "service.aborted", "service.segment_seals",
         "service.segment_recycles", "proc.threads_peak",
-        "ckpt.latency_samples", "trace.dropped"};
+        "ckpt.latency_samples", "ckpt.sync_samples", "ckpt.full_samples",
+        "trace.dropped"};
     for (const char* name : counts) {
         m[name] = {0, "count"};
     }
@@ -358,6 +392,14 @@ put_orch(const std::vector<const TimedCheckpointer*>& drivers,
     m["core.orch.requested"].value = static_cast<double>(stats.requested);
     m["core.orch.completed"].value = static_cast<double>(stats.completed);
     m["core.orch.aborted"].value = static_cast<double>(stats.aborted);
+}
+
+void
+spin_for(double seconds)
+{
+    const double until = now_s() + seconds;
+    while (now_s() < until) {
+    }
 }
 
 void

@@ -85,6 +85,16 @@ bool matches_stamp_oracle(const std::vector<std::uint8_t>& image,
                           std::uint64_t seed, std::uint64_t tenant,
                           std::uint64_t iteration);
 
+/** Raw latency samples of one run, by kind of durability point. */
+struct Latencies {
+    /** Synchronous points (delta frames, coalesced records): the
+     *  duration of the call that made each durable. */
+    std::vector<LatencySample> sync;
+    /** Asynchronous full checkpoints: request until the pointer record
+     *  is persisted. */
+    std::vector<LatencySample> full;
+};
+
 /** Latency samples of asynchronous checkpoints: durable time minus
  *  request time, for every durable point the probe resolved. */
 void append_async_latencies(
@@ -93,19 +103,31 @@ void append_async_latencies(
 
 /** Samples the p90 needs: at least ten beyond it. */
 constexpr std::size_t kMinLatencySamples = 100;
-/** Request-ordered windows the latency percentiles are taken over: as
- *  many as give each window kLatencyWindowSamples, at most
- *  kLatencyWindows. */
+/** Full checkpoints full_ckpt_latency_ms needs. */
+constexpr std::size_t kMinFullSamples = 5;
+/** Request-ordered windows the latency percentiles are taken over when
+ *  the workload has no load cycle: as many as give each window
+ *  kLatencyWindowSamples, at most kLatencyWindows. */
 constexpr std::size_t kLatencyWindowSamples = 50;
 constexpr std::size_t kLatencyWindows = 10;
 
 /**
- * Latency p50/p90 in ms into @p metrics: each the windowed_percentile
- * of the samples in request order. When @p reported (an end-to-end
- * run) at least kMinLatencySamples are required.
+ * Latency metrics of one run. Into @p end_to_end: ckpt_latency_p50_ms
+ * and ckpt_latency_p90_ms over every sample, each the median of the
+ * windows' percentiles, and full_ckpt_latency_ms, the median over the
+ * full checkpoints. Into @p per_layer: the sample counts.
+ *
+ * With two or more @p cycle_starts (request times that open a load
+ * cycle), each window is one whole cycle [c_j, c_{j+1}), so every
+ * window holds the same load mix; samples outside whole cycles are left
+ * out of the percentiles. Otherwise the windows are equal
+ * request-ordered slices. When @p reported (an end-to-end run) at least
+ * kMinLatencySamples in windows and kMinFullSamples full checkpoints
+ * are required.
  */
-void put_latency(std::vector<LatencySample> samples, bool reported,
-                 Metrics* metrics);
+void put_latency(const Latencies& latencies,
+                 std::vector<double> cycle_starts, bool reported,
+                 Metrics* end_to_end, Metrics* per_layer);
 
 /** VmHWM of this process in MiB. */
 double peak_rss_mib();
@@ -141,6 +163,16 @@ void put_trace_layers(const std::map<std::string, SpanTotals>& spans,
 /** Orchestrator-boundary metrics from the driver-side decorators. */
 void put_orch(const std::vector<const TimedCheckpointer*>& drivers,
               const pccheck::CheckpointerStats& stats, Metrics* per_layer);
+
+/**
+ * Modeled compute of one iteration: the driver spins until @p seconds
+ * have passed, as a CUDA host thread spin-waits on its stream by
+ * default. A driver that sleeps instead leaves its vCPU idle every
+ * iteration, and on a shared VM the wake-ups and cold caches that
+ * follow made fleet's round throughput vary about twice as much from
+ * run to run, and delta_file's frame p90 more, than spinning.
+ */
+void spin_for(double seconds);
 
 /** Run-wide tracing switch: resets and enables (or disables) the
  *  program's global Tracer. */

@@ -46,8 +46,10 @@ int
 main()
 {
     using pcbench::median;
+    using pcbench::median_of_percentiles;
     using pcbench::percentile;
-    using pcbench::windowed_percentile;
+    using pcbench::split_at;
+    using pcbench::split_windows;
 
     // Odd and even counts; input order must not matter.
     expect_near(median({5, 1, 4, 2, 3}), 3, "median of 1..5");
@@ -75,22 +77,51 @@ main()
     expect_throws([] { percentile({1, 2}, 1.5); }, "rank above 1");
     expect_throws([] { percentile({1, 2}, std::nan("")); }, "NaN rank");
 
-    // Windowed: one window is the plain percentile; a burst confined to
-    // one of five windows leaves the median of the window p90s alone,
-    // while the run-wide p90 lands inside the burst.
-    expect_near(windowed_percentile(ten, 0.9, 1), 9.1, "one window");
+    // Windows: a burst confined to one of five windows leaves the
+    // median of the window p90s alone, while the run-wide p90 lands
+    // inside the burst.
     std::vector<double> burst(500, 1.0);
     for (int i = 100; i < 200; ++i) {
         burst[i] = 100.0;
     }
     expect_near(percentile(burst, 0.9), 100, "burst moves the p90");
-    expect_near(windowed_percentile(burst, 0.9, 5), 1, "windowed p90");
-    // Uneven split: 7 samples in 3 windows of 2, 2 and 3.
-    expect_near(windowed_percentile({1, 2, 10, 20, 5, 6, 7}, 0.5, 3), 6,
+    expect_near(median_of_percentiles(split_windows(burst, 5), 0.9), 1,
+                "windowed p90");
+    expect_near(median_of_percentiles(split_windows(ten, 1), 0.9), 9.1,
+                "one window is the plain percentile");
+    // Uneven split: 7 samples in 3 windows of 2, 2 and 3, in order.
+    const auto split = split_windows({1, 2, 10, 20, 5, 6, 7}, 3);
+    const bool uneven = split.size() == 3 &&
+                        split[0] == std::vector<double>{1, 2} &&
+                        split[1] == std::vector<double>{10, 20} &&
+                        split[2] == std::vector<double>{5, 6, 7};
+    expect_near(uneven ? 1 : 0, 1, "split of 7 samples into 2, 2, 3");
+    expect_near(median_of_percentiles(split, 0.5), 6,
                 "median of window medians 1.5, 15, 6");
-    expect_throws([] { windowed_percentile({1, 2}, 0.5, 0); }, "0 windows");
-    expect_throws([] { windowed_percentile({1, 2}, 0.5, 3); },
+    // Explicit windows of unequal size, as whole load cycles give them.
+    expect_near(median_of_percentiles({ten, {3}, {1, 100}}, 0.5), 5.5,
+                "median of window medians 5.5, 3, 50.5");
+    expect_near(median_of_percentiles({ten, {3}, {1, 100}}, 0.9), 9.1,
+                "median of window p90s 9.1, 3, 90.1");
+    expect_throws([] { split_windows({1, 2}, 0); }, "0 windows");
+    expect_throws([] { split_windows({1, 2}, 3); },
                   "more windows than samples");
+    // Windows cut at cycle starts 10..50 (given unsorted): the samples
+    // at 5 and 50 fall outside whole cycles, the empty cycle [20, 30)
+    // is dropped, and each window keeps input order.
+    const auto cycles =
+        split_at({{5, 1}, {10, 2}, {12, 3}, {19.5, 4}, {31, 5}, {30, 6},
+                  {45, 7}, {50, 8}},
+                 {30, 10, 20, 40, 50});
+    const bool cut = cycles.size() == 3 &&
+                     cycles[0] == std::vector<double>{2, 3, 4} &&
+                     cycles[1] == std::vector<double>{5, 6} &&
+                     cycles[2] == std::vector<double>{7};
+    expect_near(cut ? 1 : 0, 1, "split at cycle starts");
+    expect_near(split_at({{1, 1}}, {0}).size(), 0, "one start, no window");
+    expect_throws([] { median_of_percentiles({}, 0.5); }, "no windows");
+    expect_throws([] { median_of_percentiles({{1}, {}}, 0.5); },
+                  "an empty window");
 
     if (failures != 0) {
         std::fprintf(stderr, "pcbench_selftest: %d failure(s)\n", failures);
