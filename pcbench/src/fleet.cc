@@ -17,6 +17,7 @@
 #include <barrier>
 #include <cstring>
 #include <functional>
+#include <malloc.h>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -47,10 +48,17 @@ constexpr int kRarePerShard = 2;
 constexpr Bytes kRecordHeader = 64;
 /** Set-ups timed together as one sample: one takes a fraction of a
  *  millisecond, and single set-ups fall into two modes about 2x apart
- *  whose mix varies from run to run. */
-constexpr int kSetupBatch = 20;
-constexpr int kSetupBatches = 15;
-constexpr int kRecoveries = 15;
+ *  whose mix varies from run to run. The batches together span about
+ *  half a second, so a brief burst of host load moves a minority of
+ *  them rather than the whole figure. */
+constexpr int kSetupBatch = 40;
+constexpr int kSetupBatches = 25;
+/** Recoveries of the whole fleet (about 16 ms each), so together they
+ *  span most of a second rather than a fraction. */
+constexpr int kRecoveries = 45;
+/** Allocation size below which freed memory stays in the process
+ *  (glibc's largest mmap threshold). */
+constexpr int kKeepAllocations = 32 << 20;
 constexpr std::uint64_t kMinRounds = 100;
 /** Untimed rounds before the window: three segment-ring laps. */
 constexpr std::uint64_t kWarmupRounds = 450;
@@ -295,7 +303,13 @@ run_fleet(const Options& opt, double seconds, bool traced)
     // Set-up: service construction (backend format, writer pool) plus
     // tenant attach, repeated; the last one runs. One sample is the mean
     // over a batch of kSetupBatch set-ups (tear-down not timed); the
-    // first batch warms the allocator and pages and is not kept.
+    // first batch warms the allocator and pages and is not kept. The
+    // allocator keeps freed memory for reuse: by default it hands some
+    // buffers back to the kernel at tear-down, and the set-ups that
+    // fault them in again took about 1.8x longer, in a share that
+    // varied from run to run.
+    mallopt(M_MMAP_THRESHOLD, kKeepAllocations);
+    mallopt(M_TRIM_THRESHOLD, kKeepAllocations);
     std::vector<double> setup_s;
     std::unique_ptr<CheckpointService> service;
     std::vector<Checkpointer*> sessions;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "obs/trace.h"
 #include "percentile.h"
@@ -399,6 +400,7 @@ spin_for(double seconds)
 {
     const double until = now_s() + seconds;
     while (now_s() < until) {
+        std::this_thread::yield();
     }
 }
 

@@ -166,11 +166,15 @@ void put_orch(const std::vector<const TimedCheckpointer*>& drivers,
 
 /**
  * Modeled compute of one iteration: the driver spins until @p seconds
- * have passed, as a CUDA host thread spin-waits on its stream by
- * default. A driver that sleeps instead leaves its vCPU idle every
- * iteration, and on a shared VM the wake-ups and cold caches that
- * follow made fleet's round throughput vary about twice as much from
- * run to run, and delta_file's frame p90 more, than spinning.
+ * have passed, yielding its vCPU on every pass, as a CUDA host thread
+ * waits on its stream under cudaDeviceScheduleYield. A driver that
+ * sleeps instead leaves its vCPU idle every iteration, and on a shared
+ * VM the wake-ups and cold caches that follow made fleet's round
+ * throughput vary about twice as much from run to run, and
+ * delta_file's frame p90 more. A driver that spins without yielding
+ * holds its vCPU against the program's own snapshot and writer
+ * threads: with one busy process beside fleet, its p90 rose 3.3x
+ * spinning against 1.1-1.35x yielding.
  */
 void spin_for(double seconds);
 
