@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Reusable countdown latch and a cyclic barrier for coordinating the
- * writer-thread pools and distributed-checkpoint rendezvous.
+ * Cyclic barrier for coordinating the writer-thread pools and
+ * distributed-checkpoint rendezvous.
  */
 
 #include <cstddef>
@@ -13,46 +13,6 @@
 #include "util/check.h"
 
 namespace pccheck {
-
-/** One-shot countdown latch (like std::latch but reusable via reset). */
-class CountdownLatch {
-  public:
-    explicit CountdownLatch(std::size_t count) : count_(count) {}
-
-    /** Decrement; wakes waiters when the count reaches zero. */
-    void
-    count_down()
-    {
-        MutexLock lock(mu_);
-        PCCHECK_CHECK(count_ > 0);
-        if (--count_ == 0) {
-            cv_.notify_all();
-        }
-    }
-
-    /** Block until the count reaches zero. */
-    void
-    wait()
-    {
-        MutexLock lock(mu_);
-        while (count_ != 0) {
-            cv_.wait(mu_);
-        }
-    }
-
-    /** Re-arm with a new count. Only valid when no waiters are blocked. */
-    void
-    reset(std::size_t count)
-    {
-        MutexLock lock(mu_);
-        count_ = count;
-    }
-
-  private:
-    Mutex mu_;
-    CondVar cv_;
-    std::size_t count_ PCCHECK_GUARDED_BY(mu_);
-};
 
 /** Cyclic barrier: @p parties threads rendezvous repeatedly. */
 class CyclicBarrier {

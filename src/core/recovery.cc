@@ -1,90 +1,49 @@
 #include "core/recovery.h"
 
+#include "core/recovery_planner.h"
 #include "core/slot_store.h"
 #include "psan/psan.h"
 #include "util/check.h"
-#include "util/crc32.h"
 
 namespace pccheck {
+namespace {
+
+/** The local helpers' one body: a read-only RecoveryPlanner run over
+ *  @p device alone (no quarantine, no salvage). */
+std::optional<RecoveryResult>
+recover_local(StorageDevice& device, std::vector<std::uint8_t>* out,
+              const Clock& clock, bool replay_delta)
+{
+    RecoveryPlanner::Options options;
+    options.salvage = false;
+    options.quarantine = false;
+    options.replay_delta = replay_delta;
+    RecoveryPlanner planner(&device, options, clock);
+    const auto planned = planner.recover(out);
+    if (!planned.has_value()) {
+        // The planner reads a destroyed header as "no local
+        // candidates"; for the local helpers it stays fatal.
+        psan::RecoveryScope psan_scope;
+        SlotStore::open(device);
+        return std::nullopt;
+    }
+    return planned->result;
+}
+
+}  // namespace
 
 std::optional<RecoveryResult>
 recover_to_buffer(StorageDevice& device, std::vector<std::uint8_t>* out,
                   const Clock& clock)
 {
-    PCCHECK_CHECK(out != nullptr);
-    Stopwatch watch(clock);
-    // V5: everything recovery touches from here on must be on durable
-    // media (or untouched pre-existing content) — reading a line only
-    // the volatile domain holds would vanish in a real crash.
-    psan::RecoveryScope psan_scope;
-    psan::ScopeLabel psan_label("recovery.to_buffer");
-    SlotStore store = SlotStore::open(device);
-    // Newest-first over the valid pointer records; one slot read per
-    // candidate, CRC-validated against that same read (no double read
-    // on the common path).
-    for (const CheckpointPointer& pointer : store.candidate_pointers()) {
-        out->resize(pointer.data_len);
-        if (!store.read_slot(pointer.slot, 0, out->data(), pointer.data_len)
-                 .ok()) {
-            continue;  // unreadable slot media; fall back
-        }
-        if (pointer.data_crc != 0 &&
-            crc32c(out->data(), out->size()) != pointer.data_crc) {
-            continue;  // slot recycled under a stale record; fall back
-        }
-        RecoveryResult result;
-        result.iteration = pointer.iteration;
-        result.counter = pointer.counter;
-        result.data_len = pointer.data_len;
-        result.load_time = watch.elapsed();
-        result.data_crc = pointer.data_crc;
-        return result;
-    }
-    return std::nullopt;
+    return recover_local(device, out, clock, /*replay_delta=*/false);
 }
 
 std::optional<RecoveryResult>
 recover_latest(StorageDevice& device, std::vector<std::uint8_t>* out,
-               const Clock& clock,
-               const std::function<bool(const DeltaFrameInfo&)>& observer)
+               const Clock& clock)
 {
-    PCCHECK_CHECK(out != nullptr);
-    Stopwatch watch(clock);
-    // V5: see recover_to_buffer.
-    psan::RecoveryScope psan_scope;
-    psan::ScopeLabel psan_label("recovery.latest");
-    SlotStore store = SlotStore::open(device);
-    for (const CheckpointPointer& pointer : store.candidate_pointers()) {
-        out->resize(pointer.data_len);
-        if (!store.read_slot(pointer.slot, 0, out->data(), pointer.data_len)
-                 .ok()) {
-            continue;  // unreadable slot media; fall back
-        }
-        if (pointer.data_crc != 0 &&
-            crc32c(out->data(), out->size()) != pointer.data_crc) {
-            continue;  // slot recycled under a stale record; fall back
-        }
-        RecoveryResult result;
-        result.counter = pointer.counter;
-        result.data_len = pointer.data_len;
-        result.data_crc = pointer.data_crc;
-        // Replay the frame chain based on this checkpoint. The replay
-        // stops by itself at the first torn / out-of-order frame, so
-        // a crash mid-append only costs the in-flight frame.
-        const DeltaRegion region{store.delta_offset(),
-                                 store.delta_bytes()};
-        const DeltaReplayStats replay =
-            delta_replay(device, region, pointer.counter,
-                         pointer.iteration, out->data(), out->size(),
-                         observer);
-        result.iteration = replay.frames_applied > 0 ? replay.iteration
-                                                     : pointer.iteration;
-        result.delta_frames = replay.frames_applied;
-        result.delta_seq = replay.last_seq;
-        result.load_time = watch.elapsed();
-        return result;
-    }
-    return std::nullopt;
+    return recover_local(device, out, clock, /*replay_delta=*/true);
 }
 
 #if !defined(PCCHECK_MC)
@@ -95,36 +54,6 @@ recover_into_state(StorageDevice& device, TrainingState& state, bool pinned,
 {
     Stopwatch watch(clock);
     std::vector<std::uint8_t> buffer;
-    auto result = recover_to_buffer(device, &buffer, clock);
-    if (!result.has_value()) {
-        return std::nullopt;
-    }
-    PCCHECK_CHECK_MSG(buffer.size() <= state.size(),
-                      "checkpoint larger than training state: "
-                          << buffer.size() << " > " << state.size());
-    // Validate the stamp before touching GPU memory: a checkpoint the
-    // markers reject must never be restored.
-    const auto stamped =
-        TrainingState::verify_buffer(buffer.data(), buffer.size());
-    if (!stamped.has_value()) {
-        return std::nullopt;
-    }
-    PCCHECK_CHECK_MSG(*stamped == result->iteration,
-                      "pointer iteration " << result->iteration
-                                           << " != stamped " << *stamped);
-    state.gpu().copy_to_device(state.device_ptr(), 0, buffer.data(),
-                               buffer.size(), pinned);
-    state.stamp(result->iteration);
-    result->load_time = watch.elapsed();
-    return result;
-}
-
-std::optional<RecoveryResult>
-recover_latest_into_state(StorageDevice& device, TrainingState& state,
-                          bool pinned, const Clock& clock)
-{
-    Stopwatch watch(clock);
-    std::vector<std::uint8_t> buffer;
     auto result = recover_latest(device, &buffer, clock);
     if (!result.has_value()) {
         return std::nullopt;
@@ -132,19 +61,25 @@ recover_latest_into_state(StorageDevice& device, TrainingState& state,
     PCCHECK_CHECK_MSG(buffer.size() <= state.size(),
                       "checkpoint larger than training state: "
                           << buffer.size() << " > " << state.size());
-    // Sparse oracle: every marker must sit at its offset, and none may
-    // exceed the recovered iteration — frames legitimately leave
-    // untouched chunks at older iterations (and an empty frame
-    // advances the iteration without touching any marker), but nothing
-    // may be newer than what the manifest + sealed frames claim.
+    // Validate the stamp before touching GPU memory: a checkpoint the
+    // markers reject must never be restored. Without a delta region an
+    // image carries one iteration in every marker. With one, training
+    // updates sparsely, so even a base image with no frame applied
+    // holds chunks at older iterations (as do frames, and an empty
+    // frame advances the iteration without touching any marker); but
+    // no marker may be newer than what the record + sealed frames claim.
+    const bool exact = SlotStore::open(device).delta_bytes() == 0;
     const auto stamped =
-        TrainingState::verify_buffer_sparse(buffer.data(), buffer.size());
+        exact ? TrainingState::verify_buffer(buffer.data(), buffer.size())
+              : TrainingState::verify_buffer_sparse(buffer.data(),
+                                                    buffer.size());
     if (!stamped.has_value()) {
         return std::nullopt;
     }
-    PCCHECK_CHECK_MSG(*stamped <= result->iteration,
+    PCCHECK_CHECK_MSG(exact ? *stamped == result->iteration
+                            : *stamped <= result->iteration,
                       "state stamped " << *stamped
-                                       << " is newer than recovered "
+                                       << " does not match recovered "
                                        << result->iteration);
     state.restore(buffer.data(), buffer.size(), result->iteration, pinned);
     result->load_time = watch.elapsed();

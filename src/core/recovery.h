@@ -5,15 +5,15 @@
  * @file
  * Recovery path (§4.2): locate the latest consistent checkpoint via
  * the durable CHECK_ADDR records, validate it, and load it back into
- * GPU memory so training can resume.
+ * GPU memory so training can resume. Every entry point here is a
+ * read-only adapter over RecoveryPlanner::recover, the one loop that
+ * chooses a checkpoint to restore.
  */
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "delta/delta_log.h"
 #include "storage/device.h"
 #include "util/clock.h"
 
@@ -38,8 +38,8 @@ struct RecoveryResult {
     Seconds load_time = 0;        ///< l in the §4.2 recovery bound
     /** CRC-32C recorded with the checkpoint (0 = none computed). */
     std::uint32_t data_crc = 0;
-    /** Delta frames replayed on top of the full image (recover_latest
-     *  only; docs/DELTA_LOG.md). iteration then reflects the last
+    /** Delta frames replayed on top of the full image
+     *  (docs/DELTA_LOG.md). iteration then reflects the last
      *  applied frame, not the base checkpoint. */
     std::uint64_t delta_frames = 0;
     /** Sequence number of the last applied frame (0 = none). */
@@ -48,42 +48,39 @@ struct RecoveryResult {
 
 /**
  * Read the latest valid checkpoint from @p device into a host buffer.
+ * A read-only adapter over RecoveryPlanner (core/recovery_planner.h):
+ * local candidates only, no delta replay, no quarantine, no salvage.
  * @return std::nullopt when the device holds no valid checkpoint.
+ * @throws FatalError when the device header is destroyed.
  */
 std::optional<RecoveryResult> recover_to_buffer(
     StorageDevice& device, std::vector<std::uint8_t>* out,
     const Clock& clock = MonotonicClock::instance());
 
 /**
- * Three-tier recovery (docs/DELTA_LOG.md): map the latest valid full
- * checkpoint like recover_to_buffer, then replay its delta-frame
- * chain in sequence order on top, stopping cleanly at the first torn
- * or CRC-failing frame. On a device without a delta region this is
- * exactly recover_to_buffer. @p observer (tests only) sees each
- * applied frame and may stop the replay early.
+ * Three-tier recovery (docs/DELTA_LOG.md): recover_to_buffer plus the
+ * planner's replay of the base's delta-frame chain, stopping cleanly
+ * at the first torn or CRC-failing frame. On a device without a delta
+ * region this is exactly recover_to_buffer.
  * @return std::nullopt when the device holds no valid checkpoint.
+ * @throws FatalError when the device header is destroyed.
  */
 std::optional<RecoveryResult> recover_latest(
     StorageDevice& device, std::vector<std::uint8_t>* out,
-    const Clock& clock = MonotonicClock::instance(),
-    const std::function<bool(const DeltaFrameInfo&)>& observer = {});
-
-/**
- * Full recovery: load the latest valid checkpoint into @p state's GPU
- * memory (paying the PCIe H2D transfer) and re-mark the state's
- * iteration. @return std::nullopt when no valid checkpoint exists.
- */
-std::optional<RecoveryResult> recover_into_state(
-    StorageDevice& device, TrainingState& state, bool pinned = true,
     const Clock& clock = MonotonicClock::instance());
 
 /**
- * Three-tier variant of recover_into_state: base image + delta
- * replay, validated with the sparse stamp oracle (markers must be
- * well-placed and no newer than the recovered iteration — delta
- * frames legitimately leave chunks stamped at older iterations).
+ * Full recovery: recover_latest, then load the image into @p state's
+ * GPU memory (paying the PCIe H2D transfer) and re-mark the state's
+ * iteration. The stamp oracle is exact (every marker == the
+ * iteration) on a device without a delta region, and sparse (no marker
+ * newer than the iteration) on one with a delta region: sparse updates
+ * legitimately leave chunks stamped at older iterations, in the base
+ * image as well as in replayed frames.
+ * @return std::nullopt when no valid checkpoint exists or the stamp
+ *         markers reject the image.
  */
-std::optional<RecoveryResult> recover_latest_into_state(
+std::optional<RecoveryResult> recover_into_state(
     StorageDevice& device, TrainingState& state, bool pinned = true,
     const Clock& clock = MonotonicClock::instance());
 

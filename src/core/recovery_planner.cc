@@ -90,35 +90,6 @@ RecoveryPlanner::survey_local(const SlotStore& store)
     return candidates;
 }
 
-std::vector<RecoveryCandidate>
-RecoveryPlanner::plan()
-{
-    std::vector<Ranked> entries;
-    if (local_device_ != nullptr) {
-        try {
-            SlotStore store = SlotStore::open(*local_device_);
-            for (RecoveryCandidate& c : survey_local(store)) {
-                entries.push_back(Ranked{c, nullptr});
-            }
-        } catch (const FatalError&) {
-            // Wiped/unreadable arena: no local candidates.
-        }
-    }
-    for (RecoverySource* source : sources_) {
-        for (RecoveryCandidate& c : source->survey()) {
-            c.source = source->name();
-            entries.push_back(Ranked{c, source});
-        }
-    }
-    rank(&entries);
-    std::vector<RecoveryCandidate> candidates;
-    candidates.reserve(entries.size());
-    for (const Ranked& entry : entries) {
-        candidates.push_back(entry.candidate);
-    }
-    return candidates;
-}
-
 bool
 RecoveryPlanner::salvage_local(SlotStore& store,
                                const std::vector<std::uint8_t>& image,

@@ -5,16 +5,19 @@
  * @file
  * Multi-source recovery planning (docs/RECOVERY.md).
  *
- * recover_to_buffer / recover_latest walk one device and give up when
- * it holds nothing valid. The RecoveryPlanner generalizes that into a
- * survey → rank → verify → fall back loop over every source that can
- * produce a checkpoint image:
+ * The RecoveryPlanner is the one loop that chooses a checkpoint to
+ * restore: survey → rank → verify → fall back over every source that
+ * can produce a checkpoint image:
  *
  *   - the local slot arena (CHECK_ADDR pointer records),
  *   - the local delta-frame chain (replayed on top of the chosen base
  *     when its base counter matches),
  *   - any number of pluggable RecoverySources (peer ReplicaStores via
  *     remote/replica_source.h, test doubles, future tiers).
+ *
+ * recover_to_buffer / recover_latest / recover_into_state
+ * (core/recovery.h) are read-only adapters over it, and a peer
+ * restore is the same loop with a ReplicaRecoverySource added.
  *
  * Candidates are ranked newest-counter-first with source cost as the
  * tie break, then tried in order. Each candidate ends with a verdict:
@@ -138,12 +141,6 @@ class RecoveryPlanner {
 
     /** Register an additional source (borrowed, outlives planner). */
     void add_source(RecoverySource* source);
-
-    /**
-     * The ranked candidate list as of now (survey only — no payload
-     * reads, no verdicts). recover() re-surveys internally.
-     */
-    std::vector<RecoveryCandidate> plan();
 
     /**
      * Try candidates best-first until one verifies; quarantine and

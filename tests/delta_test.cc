@@ -513,7 +513,7 @@ TEST(DeltaOrchestrator, TrainCrashRecoverResumeRoundTrip)
     // Resume: load into a fresh state and train on.
     SimGpu gpu(fast_gpu());
     TrainingState state(gpu, kStateBytes);
-    const auto resumed = recover_latest_into_state(device, state);
+    const auto resumed = recover_into_state(device, state);
     ASSERT_TRUE(resumed.has_value());
     EXPECT_EQ(resumed->iteration, rec->iteration);
     EXPECT_EQ(state.iteration(), rec->iteration);

@@ -120,6 +120,12 @@ TEST(FaultInjectionTest, NewestDataCorruptionFallsBack)
     const auto recovered = recover_to_buffer(*device, &buffer);
     ASSERT_TRUE(recovered.has_value());
     EXPECT_EQ(recovered->counter, candidates[1].counter);
+    const auto latest = recover_latest(*device, &buffer);
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->counter, candidates[1].counter);
+    // Both helpers are read-only: the torn newest slot is skipped, not
+    // quarantined (that is the planner's opt-in repair path).
+    EXPECT_TRUE(SlotStore::open(*device).quarantined_slots().empty());
 }
 
 TEST(FaultInjectionTest, HeaderCorruptionFailsOpen)

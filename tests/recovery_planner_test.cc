@@ -135,7 +135,10 @@ TEST(RecoveryPlannerTest, PlanRanksNewestFirstCostBreaksTies)
 
     RecoveryPlanner planner(&device);
     planner.add_source(&peer);
-    const std::vector<RecoveryCandidate> ranked = planner.plan();
+    std::vector<std::uint8_t> out;
+    const auto planned = planner.recover(&out);
+    ASSERT_TRUE(planned.has_value());
+    const std::vector<RecoveryCandidate>& ranked = planned->report;
     ASSERT_EQ(ranked.size(), 4u);
     EXPECT_EQ(ranked[0].counter, 3u);
     EXPECT_FALSE(ranked[0].local);
@@ -390,7 +393,16 @@ TEST(RecoveryPlannerTest, EmptyArenaAndNoSourcesYieldsNullopt)
     MemStorage blank(SlotStore::required_size(kSlots, kState));
     RecoveryPlanner blank_planner(&blank);
     EXPECT_FALSE(blank_planner.recover(&out).has_value());
-    EXPECT_TRUE(blank_planner.plan().empty());
+
+    // ... and contributes no candidate: beside a peer, the report
+    // holds the peer's image alone.
+    FakeSource peer;
+    peer.offer(1);
+    blank_planner.add_source(&peer);
+    const auto planned = blank_planner.recover(&out);
+    ASSERT_TRUE(planned.has_value());
+    ASSERT_EQ(planned->report.size(), 1u);
+    EXPECT_FALSE(planned->report[0].local);
 }
 
 }  // namespace

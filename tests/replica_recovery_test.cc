@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "core/orchestrator.h"
-#include "core/recovery.h"
+#include "core/recovery_planner.h"
 #include "core/slot_store.h"
 #include "faults/fault.h"
 #include "faults/faulty_storage.h"
 #include "net/network.h"
-#include "remote/remote_recovery.h"
+#include "remote/replica_source.h"
 #include "remote/replica_store.h"
 #include "remote/replication.h"
 #include "storage/mem_storage.h"
@@ -205,8 +205,11 @@ TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
         const std::vector<ReplicaPeer> peers = {
             {1, run.store1.get()}, {2, run.store2.get()}};
         std::vector<std::uint8_t> buffer;
-        const auto restored =
-            recover_latest(nullptr, *run.network, 0, peers, &buffer);
+        RecoveryPlanner planner(nullptr);
+        ReplicaRecoverySource replicas(*run.network, /*self_node=*/0,
+                                       peers);
+        planner.add_source(&replicas);
+        const auto restored = planner.recover(&buffer);
         // THE replica-tier guarantee: some surviving peer serves a
         // complete checkpoint at least as new as the quorum-acked
         // durable-publish watermark.
@@ -221,7 +224,7 @@ TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
             << "replicated checkpoint regressed, seed " << seed
             << " loss_op " << loss_op;
         EXPECT_EQ(restored->result.iteration % kInterval, 0u);
-        // recover_latest validated the CRC; the stamp check proves the
+        // The planner validated the CRC; the stamp check proves the
         // bytes are the iteration's actual training state.
         EXPECT_EQ(
             TrainingState::verify_buffer(buffer.data(), buffer.size()),

@@ -15,11 +15,12 @@
 
 #include "core/orchestrator.h"
 #include "core/recovery.h"
+#include "core/recovery_planner.h"
 #include "core/slot_store.h"
 #include "faults/fault.h"
 #include "faults/faulty_storage.h"
 #include "net/network.h"
-#include "remote/remote_recovery.h"
+#include "remote/replica_source.h"
 #include "remote/replica_store.h"
 #include "remote/replication.h"
 #include "storage/mem_storage.h"
@@ -53,6 +54,20 @@ install_version(ReplicaStore& store, std::uint64_t counter,
     ASSERT_TRUE(result.stored);
     ASSERT_TRUE(result.byte_complete);
     ASSERT_TRUE(store.seal(counter, crc32c(data.data(), data.size())));
+}
+
+/** Restore the newest checkpoint reachable from node 0: @p local's
+ *  arena (nullptr = media lost) and the peers' replicas, ranked by one
+ *  RecoveryPlanner. */
+std::optional<PlannedRecovery>
+restore(StorageDevice* local, SimNetwork& network,
+        const std::vector<ReplicaPeer>& peers,
+        std::vector<std::uint8_t>* out)
+{
+    RecoveryPlanner planner(local);
+    ReplicaRecoverySource replicas(network, /*self_node=*/0, peers);
+    planner.add_source(&replicas);
+    return planner.recover(out);
 }
 
 TEST(ReplicationConfigTest, ValidateRejectsBadKnobs)
@@ -430,7 +445,7 @@ TEST(RemoteRecoveryTest, PicksNewestCounterThenFastestPath)
     const std::vector<ReplicaPeer> peers = {{1, &store1}, {2, &store2}};
 
     std::vector<std::uint8_t> out;
-    auto restored = recover_latest(nullptr, network, 0, peers, &out);
+    auto restored = restore(nullptr, network, peers, &out);
     ASSERT_TRUE(restored.has_value());
     EXPECT_TRUE(restored->from_replica);
     EXPECT_EQ(restored->source_node, 2);
@@ -440,7 +455,7 @@ TEST(RemoteRecoveryTest, PicksNewestCounterThenFastestPath)
 
     // The newest holder dies: recovery falls back to the next peer.
     network.kill_node(2);
-    restored = recover_latest(nullptr, network, 0, peers, &out);
+    restored = restore(nullptr, network, peers, &out);
     ASSERT_TRUE(restored.has_value());
     EXPECT_EQ(restored->source_node, 1);
     EXPECT_EQ(restored->result.counter, 5u);
@@ -448,8 +463,7 @@ TEST(RemoteRecoveryTest, PicksNewestCounterThenFastestPath)
 
     // No surviving replica and no local media: nothing to restore.
     network.kill_node(1);
-    EXPECT_FALSE(
-        recover_latest(nullptr, network, 0, peers, &out).has_value());
+    EXPECT_FALSE(restore(nullptr, network, peers, &out).has_value());
 }
 
 TEST(OrchestratorReplicationTest, TrainingRunReplicatesAndRecovers)
@@ -520,17 +534,17 @@ TEST(OrchestratorReplicationTest, TrainingRunReplicatesAndRecovers)
         EXPECT_EQ(replica, local);
     }
 
-    // With the local device alive, recover_latest stays local.
+    // With the local device alive, recovery stays local.
     const std::vector<ReplicaPeer> peers = {{1, &store1}, {2, &store2}};
     std::vector<std::uint8_t> out;
-    auto restored = recover_latest(&device, network, 0, peers, &out);
+    auto restored = restore(&device, network, peers, &out);
     ASSERT_TRUE(restored.has_value());
     EXPECT_FALSE(restored->from_replica);
     EXPECT_EQ(restored->result.counter, latest_counter);
 
     // Node 0 lost everything: the replica tier restores the newest
     // quorum-complete checkpoint, verified down to the stamped bytes.
-    restored = recover_latest(nullptr, network, 0, peers, &out);
+    restored = restore(nullptr, network, peers, &out);
     ASSERT_TRUE(restored.has_value());
     EXPECT_TRUE(restored->from_replica);
     EXPECT_GE(restored->result.counter, store1.watermark());

@@ -118,6 +118,7 @@ Exit status is 0 when clean, 1 when any finding is reported.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -166,49 +167,6 @@ def code_of(line: str) -> str:
     """Strip a trailing // comment (best-effort; ignores strings)."""
     idx = line.find("//")
     return line if idx < 0 else line[:idx]
-
-
-# --------------------------------------------------------------------------
-# persist-fence-publish
-
-
-PUBLISH_CALL_RE = re.compile(r"[.>]\s*publish_pointer\s*\(")
-PERSIST_RE = re.compile(r"\b(persist_slot_range|msync)\s*\(")
-FENCE_RE = re.compile(r"\bfence\s*\(\s*\)")
-FUNCTION_TOP_RE = re.compile(r"^[{}]\s*$|^\S.*[{;]\s*$")
-
-
-def rule_persist_fence_publish(path: str, lines: List[str]) -> List[Finding]:
-    findings = []
-    for i, line in enumerate(lines):
-        if is_comment_line(line) or not PUBLISH_CALL_RE.search(code_of(line)):
-            continue
-        # Walk back to the start of the enclosing function (first line
-        # at column 0 that opens a block), looking for the nearest
-        # persist and whether a fence separates it from the publish.
-        fence_seen = False
-        for j in range(i - 1, -1, -1):
-            prev = lines[j]
-            if is_comment_line(prev):
-                continue
-            prev_code = code_of(prev)
-            if FENCE_RE.search(prev_code):
-                fence_seen = True
-            if PERSIST_RE.search(prev_code):
-                if not fence_seen:
-                    findings.append(Finding(
-                        path, i + 1, "persist-fence-publish",
-                        "publish_pointer() reachable from "
-                        f"{PERSIST_RE.search(prev_code).group(1)}() at line "
-                        f"{j + 1} with no fence() in between: the pointer "
-                        "record could become durable before the slot data"))
-                break
-            # Function boundary: a line starting at column 0 that opens
-            # a new definition ends the backward scan.
-            if prev_code and not prev_code[0].isspace() and \
-                    prev_code.rstrip().endswith("{"):
-                break
-    return findings
 
 
 # --------------------------------------------------------------------------
@@ -464,181 +422,148 @@ def rule_read_status_checked(path: str, lines: List[str]) -> List[Finding]:
 
 
 # --------------------------------------------------------------------------
-# replica-publish-ordering
+# ordering rules: persist-fence-publish, replica-publish-ordering,
+# delta-seal-before-manifest, segment-seal-fence-before-publish
+#
+# Each is "this publish call must be preceded, in the same function, by
+# a fenced or acked predecessor": one backward scan, one table.
 
 
-# Call sites only: [.>] anchors a method call, so declarations and
-# definitions (ReplicationEngine::advance_watermark) never match.
+class Ordering(NamedTuple):
+    """One publish call and the predecessor it must sit behind."""
+    call: re.Pattern
+    # A code line matching any of these, found first, satisfies it.
+    needs: List[re.Pattern]
+    # None: the predecessor is mandatory. Otherwise only reaching this
+    # op (e.g. an unfenced persist) before a predecessor is a finding.
+    hazard: re.Pattern | None
+    # {op} / {line} name the hazard's call and line.
+    message: str
+
+
+class OrderingRule(NamedTuple):
+    checks: List[Ordering]  # the first check whose call matches wins
+    marker: str | None      # justification within MARKER_WINDOW lines
+    gate: List[re.Pattern]  # if set, only files calling one of these
+
+
+# Call sites only: `[.>]` anchors a method call and `=`/`(`/`return`
+# a free call, so declarations and definitions
+# (ReplicationEngine::advance_watermark, DeltaLog::seal_frame) never
+# match.
+PUBLISH_CALL_RE = re.compile(r"[.>]\s*publish_pointer\s*\(")
+PERSIST_RE = re.compile(r"\b(persist_slot_range|msync)\s*\(")
+FENCE_RE = re.compile(r"\bfence\s*\(\s*\)")
 AWAIT_QUORUM_CALL_RE = re.compile(r"[.>]\s*await_quorum\s*\(")
 ADVANCE_WATERMARK_CALL_RE = re.compile(r"[.>]\s*advance_watermark\s*\(")
 COMMIT_CALL_RE = re.compile(r"[.>]\s*commit\s*\(")
 RECORD_ACK_RE = re.compile(r"\brecord_ack\s*\(")
-QUORUM_MARKER = "quorum-acked:"
-QUORUM_WINDOW = 5
-
-
-def replica_scan_satisfies(lines: List[str], i: int,
-                           patterns: List[re.Pattern]) -> bool:
-    """Walk back from line i to the enclosing function boundary looking
-    for any of @p patterns on a code line."""
-    for j in range(i - 1, -1, -1):
-        prev = lines[j]
-        if is_comment_line(prev):
-            continue
-        prev_code = code_of(prev)
-        if any(p.search(prev_code) for p in patterns):
-            return True
-        # Function boundary: a line starting at column 0 that opens a
-        # new definition ends the backward scan.
-        if prev_code and not prev_code[0].isspace() and \
-                prev_code.rstrip().endswith("{"):
-            return False
-    return False
-
-
-def rule_replica_publish_ordering(path: str,
-                                  lines: List[str]) -> List[Finding]:
-    # The rule applies only to files that drive the replication tier:
-    # they contain an await_quorum() or advance_watermark() call site
-    # on a code line (comments and declarations do not gate).
-    gated = any(
-        not is_comment_line(line) and
-        (AWAIT_QUORUM_CALL_RE.search(code_of(line)) or
-         ADVANCE_WATERMARK_CALL_RE.search(code_of(line)))
-        for line in lines)
-    if not gated:
-        return []
-    findings = []
-    for i, line in enumerate(lines):
-        if is_comment_line(line):
-            continue
-        code = code_of(line)
-        if ADVANCE_WATERMARK_CALL_RE.search(code):
-            window = lines[max(0, i - QUORUM_WINDOW):i + 1]
-            if any(QUORUM_MARKER in w for w in window):
-                continue
-            if not replica_scan_satisfies(
-                    lines, i, [AWAIT_QUORUM_CALL_RE, RECORD_ACK_RE]):
-                findings.append(Finding(
-                    path, i + 1, "replica-publish-ordering",
-                    "advance_watermark() with no preceding "
-                    "await_quorum()/record_ack() in this function: the "
-                    "durable-publish watermark must never name a "
-                    "counter whose replica ack was not recorded; "
-                    f"justify delegated ordering with a "
-                    f"\"{QUORUM_MARKER}\" comment within "
-                    f"{QUORUM_WINDOW} lines"))
-        elif COMMIT_CALL_RE.search(code):
-            window = lines[max(0, i - QUORUM_WINDOW):i + 1]
-            if any(QUORUM_MARKER in w for w in window):
-                continue
-            if not replica_scan_satisfies(lines, i,
-                                          [AWAIT_QUORUM_CALL_RE]):
-                findings.append(Finding(
-                    path, i + 1, "replica-publish-ordering",
-                    "commit() in a replication-driving function with "
-                    "no preceding await_quorum(): the CHECK_ADDR CAS "
-                    "must not depend on an un-acked replica — gate the "
-                    "commit on the quorum (a miss still commits, "
-                    "degraded)"))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# delta-seal-before-manifest
-
-
-# Call sites only: `= seal_frame(`, `.seal_frame(`, `->seal_frame(`,
-# `return seal_frame(`. Declarations (`StorageStatus seal_frame(...)`)
-# and the definition (`DeltaLog::seal_frame(`) never match.
 SEAL_CALL_RE = re.compile(r"(?:[.>=(]|\breturn\b)\s*seal_frame\s*\(")
-PAYLOAD_DURABLE_MARKER = "payload-durable:"
-SEAL_WINDOW = 5
-
-
-def rule_delta_seal_before_manifest(path: str,
-                                    lines: List[str]) -> List[Finding]:
-    findings = []
-    for i, line in enumerate(lines):
-        if is_comment_line(line) or not SEAL_CALL_RE.search(code_of(line)):
-            continue
-        window = lines[max(0, i - SEAL_WINDOW):i + 1]
-        if any(PAYLOAD_DURABLE_MARKER in w for w in window):
-            continue
-        # Walk back to the enclosing function boundary looking for the
-        # fence that ordered the payload ahead of this seal.
-        fence_seen = False
-        for j in range(i - 1, -1, -1):
-            prev = lines[j]
-            if is_comment_line(prev):
-                continue
-            prev_code = code_of(prev)
-            if FENCE_RE.search(prev_code):
-                fence_seen = True
-                break
-            if prev_code and not prev_code[0].isspace() and \
-                    prev_code.rstrip().endswith("{"):
-                break
-        if not fence_seen:
-            findings.append(Finding(
-                path, i + 1, "delta-seal-before-manifest",
-                "seal_frame() with no preceding fence() in this "
-                "function: the seal makes the frame reachable by "
-                "replay, so the payload must be durable first — fence "
-                "before sealing, or justify delegated ordering with a "
-                f"\"{PAYLOAD_DURABLE_MARKER}\" comment within "
-                f"{SEAL_WINDOW} lines"))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# segment-seal-fence-before-publish
-
-
-# Call sites only: `= publish_segment_header(`, `.`/`->` calls,
-# `return publish_segment_header(`. The definition
-# (`SegmentLog::publish_segment_header(`) and declarations never match.
 SEGMENT_PUBLISH_CALL_RE = re.compile(
     r"(?:[.>=(]|\breturn\b)\s*publish_segment_header\s*\(")
+QUORUM_MARKER = "quorum-acked:"
+PAYLOAD_DURABLE_MARKER = "payload-durable:"
 SEGMENT_DURABLE_MARKER = "segment-durable:"
-SEGMENT_WINDOW = 5
+MARKER_WINDOW = 5
+
+ORDERING_RULES: dict[str, OrderingRule] = {
+    "persist-fence-publish": OrderingRule(
+        checks=[Ordering(
+            PUBLISH_CALL_RE, [FENCE_RE], PERSIST_RE,
+            "publish_pointer() reachable from {op}() at line {line} "
+            "with no fence() in between: the pointer record could "
+            "become durable before the slot data")],
+        marker=None, gate=[]),
+    # The durable-publish watermark may only name a counter whose
+    # replica ack was recorded, and the commit CAS sits behind the
+    # quorum wait, in files that drive the replication tier.
+    "replica-publish-ordering": OrderingRule(
+        checks=[
+            Ordering(
+                ADVANCE_WATERMARK_CALL_RE,
+                [AWAIT_QUORUM_CALL_RE, RECORD_ACK_RE], None,
+                "advance_watermark() with no preceding "
+                "await_quorum()/record_ack() in this function: the "
+                "durable-publish watermark must never name a counter "
+                "whose replica ack was not recorded; justify delegated "
+                f"ordering with a \"{QUORUM_MARKER}\" comment within "
+                f"{MARKER_WINDOW} lines"),
+            Ordering(
+                COMMIT_CALL_RE, [AWAIT_QUORUM_CALL_RE], None,
+                "commit() in a replication-driving function with no "
+                "preceding await_quorum(): the CHECK_ADDR CAS must not "
+                "depend on an un-acked replica — gate the commit on the "
+                "quorum (a miss still commits, degraded)"),
+        ],
+        marker=QUORUM_MARKER,
+        gate=[AWAIT_QUORUM_CALL_RE, ADVANCE_WATERMARK_CALL_RE]),
+    "delta-seal-before-manifest": OrderingRule(
+        checks=[Ordering(
+            SEAL_CALL_RE, [FENCE_RE], None,
+            "seal_frame() with no preceding fence() in this function: "
+            "the seal makes the frame reachable by replay, so the "
+            "payload must be durable first — fence before sealing, or "
+            "justify delegated ordering with a "
+            f"\"{PAYLOAD_DURABLE_MARKER}\" comment within "
+            f"{MARKER_WINDOW} lines")],
+        marker=PAYLOAD_DURABLE_MARKER, gate=[]),
+    "segment-seal-fence-before-publish": OrderingRule(
+        checks=[Ordering(
+            SEGMENT_PUBLISH_CALL_RE, [FENCE_RE], None,
+            "publish_segment_header() with no preceding fence() in "
+            "this function: the header publish makes the manifest (or "
+            "rewound chain) reachable by scans, so those bytes must be "
+            "durable first — fence before publishing, or justify "
+            f"delegated ordering with a \"{SEGMENT_DURABLE_MARKER}\" "
+            f"comment within {MARKER_WINDOW} lines")],
+        marker=SEGMENT_DURABLE_MARKER, gate=[]),
+}
 
 
-def rule_segment_seal_fence_before_publish(
-        path: str, lines: List[str]) -> List[Finding]:
+def ordering_violation(lines: List[str], i: int,
+                       check: Ordering) -> int | None:
+    """Walk back from line i to the start of the enclosing function (a
+    column-0 line opening a block). None when a predecessor comes
+    first; else the hazard's line, or i for a missing mandatory one."""
+    for j in range(i - 1, -1, -1):
+        if is_comment_line(lines[j]):
+            continue
+        code = code_of(lines[j])
+        if any(p.search(code) for p in check.needs):
+            return None
+        if check.hazard is not None and check.hazard.search(code):
+            return j
+        if code and not code[0].isspace() and code.rstrip().endswith("{"):
+            break
+    return None if check.hazard is not None else i
+
+
+def lint_ordering(rule_id: str, path: str,
+                  lines: List[str]) -> List[Finding]:
+    rule = ORDERING_RULES[rule_id]
+    codes = [None if is_comment_line(line) else code_of(line)
+             for line in lines]
+    if rule.gate and not any(
+            code is not None and any(g.search(code) for g in rule.gate)
+            for code in codes):
+        return []
     findings = []
-    for i, line in enumerate(lines):
-        if is_comment_line(line) or \
-                not SEGMENT_PUBLISH_CALL_RE.search(code_of(line)):
+    for i, code in enumerate(codes):
+        if code is None:
             continue
-        window = lines[max(0, i - SEGMENT_WINDOW):i + 1]
-        if any(SEGMENT_DURABLE_MARKER in w for w in window):
+        check = next((c for c in rule.checks if c.call.search(code)), None)
+        if check is None:
             continue
-        # Walk back to the enclosing function boundary looking for the
-        # fence that ordered the manifest/tail bytes ahead of this
-        # header publish.
-        fence_seen = False
-        for j in range(i - 1, -1, -1):
-            prev = lines[j]
-            if is_comment_line(prev):
-                continue
-            prev_code = code_of(prev)
-            if FENCE_RE.search(prev_code):
-                fence_seen = True
-                break
-            if prev_code and not prev_code[0].isspace() and \
-                    prev_code.rstrip().endswith("{"):
-                break
-        if not fence_seen:
-            findings.append(Finding(
-                path, i + 1, "segment-seal-fence-before-publish",
-                "publish_segment_header() with no preceding fence() in "
-                "this function: the header publish makes the manifest "
-                "(or rewound chain) reachable by scans, so those bytes "
-                "must be durable first — fence before publishing, or "
-                "justify delegated ordering with a "
-                f"\"{SEGMENT_DURABLE_MARKER}\" comment within "
-                f"{SEGMENT_WINDOW} lines"))
+        window = lines[max(0, i - MARKER_WINDOW):i + 1]
+        if rule.marker is not None and any(rule.marker in w for w in window):
+            continue
+        j = ordering_violation(lines, i, check)
+        if j is None:
+            continue
+        hazard = check.hazard.search(code_of(lines[j])) \
+            if check.hazard is not None else None
+        findings.append(Finding(path, i + 1, rule_id, check.message.format(
+            op=hazard.group(1) if hazard else "", line=j + 1)))
     return findings
 
 
@@ -711,14 +636,11 @@ def rule_storage_decorator_forwards_hooks(path: str,
 
 
 RULES: dict[str, Callable[[str, List[str]], List[Finding]]] = {
-    "delta-seal-before-manifest": rule_delta_seal_before_manifest,
-    "persist-fence-publish": rule_persist_fence_publish,
+    **{rule_id: functools.partial(lint_ordering, rule_id)
+       for rule_id in ORDERING_RULES},
     "naked-mutex": rule_naked_mutex,
     "raw-atomic-in-core": rule_raw_atomic_in_core,
     "relaxed-justification": rule_relaxed_justification,
-    "replica-publish-ordering": rule_replica_publish_ordering,
-    "segment-seal-fence-before-publish":
-        rule_segment_seal_fence_before_publish,
     "trace-span-under-lock": rule_trace_span_under_lock,
     "check-addr-cas-only": rule_check_addr_cas_only,
     "storage-status-checked": rule_storage_status_checked,
