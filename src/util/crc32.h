@@ -4,7 +4,10 @@
 /**
  * @file
  * CRC-32C (Castagnoli) used to validate checkpoint data and pointer
- * records during recovery. Table-driven; no hardware dependency.
+ * records during recovery. The kernel is chosen once per process: on
+ * x86-64 hosts with SSE4.2, three interleaved `crc32` instruction
+ * streams over consecutive blocks, merged by a GF(2) shift; on every
+ * other host, the portable byte table. Both give the same values.
  */
 
 #include <cstddef>
@@ -13,11 +16,25 @@
 namespace pccheck {
 
 /**
+ * Block each of the hardware kernel's three streams covers. Inputs of
+ * at least three blocks run interleaved; shorter ones and the tail run
+ * on one stream. Exposed so tests can straddle the stream edges.
+ */
+inline constexpr std::size_t kCrc32cStreamBlock = 8192;
+
+/**
  * Compute CRC-32C over @p len bytes at @p data.
  * @param seed previous crc for incremental computation (0 to start)
  */
 std::uint32_t crc32c(const void* data, std::size_t len,
                      std::uint32_t seed = 0);
+
+/**
+ * The byte-table CRC-32C, which crc32c() falls back to where the
+ * hardware kernel is unavailable. Same contract and values as crc32c().
+ */
+std::uint32_t crc32c_portable(const void* data, std::size_t len,
+                              std::uint32_t seed = 0);
 
 }  // namespace pccheck
 

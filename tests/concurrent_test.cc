@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit and concurrency tests for the lock-free queues, the cyclic
- * barrier, and the thread pool.
+ * Unit and concurrency tests for the lock-free queues and the thread
+ * pool.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "concurrent/latch.h"
 #include "concurrent/mpmc_queue.h"
 #include "concurrent/ms_queue.h"
 #include "concurrent/thread_pool.h"
@@ -133,34 +132,6 @@ TEST(MsQueueTest, MultiProducerMultiConsumerStress)
 {
     MsQueue<int> queue(64);
     run_mpmc_stress(queue, 3, 3, 400);
-}
-
-TEST(CyclicBarrierTest, RendezvousRepeatedly)
-{
-    constexpr int kParties = 4;
-    constexpr int kRounds = 20;
-    CyclicBarrier barrier(kParties);
-    std::atomic<int> counter{0};
-    std::vector<std::thread> threads;
-    std::atomic<bool> ok{true};
-    for (int party = 0; party < kParties; ++party) {
-        threads.emplace_back([&] {
-            for (int round = 0; round < kRounds; ++round) {
-                counter.fetch_add(1);
-                barrier.arrive_and_wait();
-                // After the barrier, all parties of this round arrived.
-                if (counter.load() < (round + 1) * kParties) {
-                    ok.store(false);
-                }
-                barrier.arrive_and_wait();
-            }
-        });
-    }
-    for (auto& thread : threads) {
-        thread.join();
-    }
-    EXPECT_TRUE(ok.load());
-    EXPECT_EQ(counter.load(), kParties * kRounds);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks)

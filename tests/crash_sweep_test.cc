@@ -88,6 +88,8 @@ class PsanCleanGuard {
 struct SeedRun {
     std::uint64_t ops_after_warmup = 0;
     std::uint64_t ops_total = 0;
+    /** Absolute op index the crash trigger was armed at (0: none). */
+    std::uint64_t crash_op = 0;
     bool crashed = false;
     /** Latest durable iteration before faults were armed. */
     std::uint64_t warm_iteration = 0;
@@ -98,12 +100,16 @@ struct SeedRun {
 };
 
 /**
- * One full train → crash-capture → drain cycle. With @p crash_op == 0
- * no crash trigger is armed (calibration: measures the op-stream
- * length, which is deterministic for a noise-free plan).
+ * One full train → crash-capture → drain cycle. The crash fires at the
+ * @p crash_offset-th op after this run's own warmup; with 0 no crash
+ * trigger is armed (calibration: measures the op-stream length). The
+ * offset is relative because the warmup's op count is not fixed: its
+ * two checkpoints run concurrently, and when the newer one commits
+ * first the older one loses the CHECK_ADDR CAS and skips its pointer
+ * record (three ops).
  */
 SeedRun
-run_training(std::uint64_t seed, std::uint64_t crash_op,
+run_training(std::uint64_t seed, std::uint64_t crash_offset,
              const SweepConfig& sweep)
 {
     SeedRun out;
@@ -133,12 +139,13 @@ run_training(std::uint64_t seed, std::uint64_t crash_op,
     out.ops_after_warmup = injector->ops();
 
     FaultPlan plan;
-    if (crash_op > 0) {
+    if (crash_offset > 0) {
+        out.crash_op = out.ops_after_warmup + crash_offset;
         FaultRule crash;
         crash.point = "*";
         crash.action = FaultAction::kCrash;
         crash.trigger = FaultTrigger::kNthOp;
-        crash.nth = crash_op;
+        crash.nth = out.crash_op;
         crash.limit = 1;
         plan.add(crash);  // first so noise rules cannot shadow it
     }
@@ -233,20 +240,19 @@ TEST(CrashSweepTest, InvariantHoldsAtRandomCrashPoints)
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(s);
         Rng pick(seed * 0x9E3779B97F4A7C15ULL);
-        const std::uint64_t crash_op =
-            calib.ops_after_warmup + 1 +
-            pick.next_below(calib.ops_total - calib.ops_after_warmup);
-        const SeedRun run = run_training(seed, crash_op, sweep);
+        const std::uint64_t crash_offset =
+            1 + pick.next_below(calib.ops_total - calib.ops_after_warmup);
+        const SeedRun run = run_training(seed, crash_offset, sweep);
         if (!run.crashed) {
             // Only legitimate when this run's op stream ended before
             // the chosen index; anything else is a harness bug.
-            ASSERT_GT(crash_op, run.ops_total)
+            ASSERT_GT(run.crash_op, run.ops_total)
                 << "crash trigger silently skipped, seed " << seed;
             continue;
         }
         ++crashed;
         const std::uint64_t recovered_iteration =
-            check_crash_image(run, sweep, seed, crash_op);
+            check_crash_image(run, sweep, seed, run.crash_op);
         if (recovered_iteration == 0) {
             continue;
         }
@@ -292,19 +298,18 @@ TEST(CrashSweepTest, InvariantHoldsUnderTransientNoise)
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(s);
         Rng pick(seed * 0xBF58476D1CE4E5B9ULL);
-        const std::uint64_t crash_op =
-            calib.ops_after_warmup + 1 +
-            pick.next_below(calib.ops_total - calib.ops_after_warmup);
-        const SeedRun run = run_training(seed, crash_op, sweep);
+        const std::uint64_t crash_offset =
+            1 + pick.next_below(calib.ops_total - calib.ops_after_warmup);
+        const SeedRun run = run_training(seed, crash_offset, sweep);
         if (!run.crashed) {
             // Retries shift per-seed op counts, so a tail index can
             // fall past the end of a shorter stream; that seed simply
             // did not crash and verifies nothing.
-            ASSERT_GT(crash_op, run.ops_total);
+            ASSERT_GT(run.crash_op, run.ops_total);
             continue;
         }
         ++crashed;
-        check_crash_image(run, sweep, seed, crash_op);
+        check_crash_image(run, sweep, seed, run.crash_op);
     }
     // Transient noise shifts op counts, but most indices must land.
     EXPECT_GE(crashed, seeds / 2);

@@ -295,24 +295,95 @@ TEST(ThrottleTest, ConcurrentCallersShareChannel)
     EXPECT_GE(watch.elapsed(), 0.016);
 }
 
+std::vector<std::uint8_t>
+random_bytes(std::size_t len, std::uint64_t seed)
+{
+    std::vector<std::uint8_t> data(len);
+    Rng rng(seed);
+    for (auto& byte : data) {
+        byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    return data;
+}
+
 TEST(Crc32Test, KnownVector)
 {
-    // CRC-32C("123456789") = 0xE3069283.
+    // CRC-32C("123456789") = 0xE3069283, on both kernels.
     const char* data = "123456789";
     EXPECT_EQ(crc32c(data, 9), 0xE3069283u);
+    EXPECT_EQ(crc32c_portable(data, 9), 0xE3069283u);
+}
+
+TEST(Crc32Test, GoldenValues)
+{
+    // On-media values, computed with the byte-table implementation that
+    // wrote every existing image. A change that moves them breaks
+    // recovery of old checkpoints.
+    struct Golden {
+        std::size_t len;
+        std::uint64_t fill_seed;
+        std::uint32_t crc_seed;
+        std::uint32_t crc;
+    };
+    const Golden golden[] = {
+        {0, 1, 0xDEADBEEFu, 0xDEADBEEFu},
+        {9, 2, 0x00000000u, 0xA2537653u},
+        {4095, 3, 0x00000000u, 0x6CAC3A7Cu},
+        {24577, 4, 0x5EED5EEDu, 0xDFAB0EF1u},
+        {1048583, 5, 0x00000000u, 0x4DE30B17u},
+        {4194304, 6, 0x00000000u, 0x688D7C9Fu},
+    };
+    for (const Golden& g : golden) {
+        SCOPED_TRACE(g.len);
+        const auto data = random_bytes(g.len, g.fill_seed);
+        EXPECT_EQ(crc32c(data.data(), g.len, g.crc_seed), g.crc);
+        EXPECT_EQ(crc32c_portable(data.data(), g.len, g.crc_seed), g.crc);
+    }
+}
+
+TEST(Crc32Test, MatchesPortableAcrossLengthsAlignmentsSeeds)
+{
+    constexpr std::size_t kBlock = kCrc32cStreamBlock;
+    constexpr std::size_t kMax = 256 * 1024;
+    const auto data = random_bytes(kMax + 8, 41);
+    Rng rng(43);
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 1024; ++len) {
+        lengths.push_back(len);
+    }
+    // Both sides of every interleave edge the buffer holds.
+    for (std::size_t edge = 3 * kBlock; edge <= kMax; edge += 3 * kBlock) {
+        lengths.insert(lengths.end(), {edge - 1, edge, edge + 1});
+    }
+    for (int i = 0; i < 64; ++i) {
+        lengths.push_back(rng.next_below(kMax + 1));
+    }
+    for (const std::size_t len : lengths) {
+        for (std::size_t align = 0; align < 8; ++align) {
+            const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+            const std::uint8_t* p = data.data() + align;
+            ASSERT_EQ(crc32c(p, len, seed), crc32c_portable(p, len, seed))
+                << "len " << len << " align " << align << " seed " << seed;
+        }
+    }
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShot)
 {
-    std::vector<std::uint8_t> data(10000);
-    Rng rng(31);
-    for (auto& byte : data) {
-        byte = static_cast<std::uint8_t>(rng.next_u64());
-    }
+    // Chaining through `seed`, as the orchestrator does chunk by chunk,
+    // with split points on both sides of the stream-block edges.
+    constexpr std::size_t kBlock = kCrc32cStreamBlock;
+    const auto data = random_bytes(10 * kBlock + 10000, 31);
     const std::uint32_t whole = crc32c(data.data(), data.size());
-    std::uint32_t inc = crc32c(data.data(), 1234);
-    inc = crc32c(data.data() + 1234, data.size() - 1234, inc);
-    EXPECT_EQ(whole, inc);
+    ASSERT_EQ(whole, crc32c_portable(data.data(), data.size()));
+    for (const std::size_t split :
+         {std::size_t{1234}, kBlock - 1, kBlock, kBlock + 1, 3 * kBlock - 1,
+          3 * kBlock, 3 * kBlock + 1, 6 * kBlock - 8, 6 * kBlock + 8}) {
+        SCOPED_TRACE(split);
+        std::uint32_t inc = crc32c(data.data(), split);
+        inc = crc32c(data.data() + split, data.size() - split, inc);
+        EXPECT_EQ(whole, inc);
+    }
 }
 
 TEST(Crc32Test, DetectsBitFlip)
