@@ -3,6 +3,8 @@
 #include "core/recovery.h"
 
 #include <algorithm>
+#include <deque>
+#include <future>
 #include <memory>
 
 #include "obs/stage.h"
@@ -632,15 +634,58 @@ PCcheckCheckpointer::run_snapshot(const Request& request)
                 "pccheck.stage.snapshot");
         StageSpan snap_span("checkpoint.snapshot", snap_hist,
                             "iteration", iteration, "slot", ticket.slot);
-        for (Bytes offset = 0; offset < len; offset += chunk_bytes_) {
-            const Bytes this_len = std::min(chunk_bytes_, len - offset);
-            // ③ stage the chunk into pinned DRAM via the GPU copy
-            // engine.
-            std::uint8_t* buffer = acquire_chunk_buffer();
-            state_->gpu().copy_to_host(buffer, src,
-                                       region_offset_ + offset, this_len,
-                                       config_.pinned_memory);
+        // ③ stage chunks into pinned DRAM on the GPU copy engines. The
+        // engines copy the next chunks while this thread CRCs the
+        // oldest, so a snapshot costs about the larger of copy and CRC
+        // rather than their sum. A single-chunk snapshot has nothing
+        // to overlap and copies inline, without a thread hand-off. The
+        // lookahead never exceeds the staging buffers, whose release
+        // needs only the writers.
+        struct Staged {
+            std::uint8_t* buffer;
+            Bytes offset;
+            Bytes len;
+            std::future<void> copied;  ///< invalid: copied inline
+        };
+        SimGpu& gpu = state_->gpu();
+        const std::size_t lookahead =
+            len > chunk_bytes_
+                ? std::min<std::size_t>(
+                      chunk_count_,
+                      static_cast<std::size_t>(
+                          std::max(gpu.config().copy_engines, 1)) +
+                          1)
+                : 1;
+        std::deque<Staged> staged;
+        Bytes next = 0;
+        while (next < len || !staged.empty()) {
+            while (next < len && staged.size() < lookahead) {
+                Staged chunk{acquire_chunk_buffer(), next,
+                             std::min(chunk_bytes_, len - next), {}};
+                if (lookahead > 1) {
+                    chunk.copied = gpu.copy_to_host_async(
+                        chunk.buffer, src, region_offset_ + next,
+                        chunk.len, config_.pinned_memory);
+                } else {
+                    gpu.copy_to_host(chunk.buffer, src,
+                                     region_offset_ + next, chunk.len,
+                                     config_.pinned_memory);
+                }
+                next += chunk.len;
+                staged.push_back(std::move(chunk));
+            }
+            Staged chunk = std::move(staged.front());
+            staged.pop_front();
+            if (chunk.copied.valid()) {
+                chunk.copied.get();
+            }
+            std::uint8_t* buffer = chunk.buffer;
+            const Bytes offset = chunk.offset;
+            const Bytes this_len = chunk.len;
             if (config_.compute_crc) {
+                // Its own span: the copies overlap it on other threads,
+                // so snapshot time minus copy time no longer isolates it.
+                PCCHECK_TRACE_SPAN("snapshot.crc", "len", this_len);
                 crc = crc32c(buffer, this_len, crc);
             }
             auto hold = std::make_shared<ChunkHold>();

@@ -546,47 +546,72 @@ TEST(OrchestratorTest, ManySequentialCheckpointsAllComplete)
 
 TEST(OrchestratorTest, PipelinedChunksProduceConsistentCheckpoint)
 {
-    PCcheckConfig config;
-    config.concurrent_checkpoints = 2;
-    config.chunk_bytes = 16 * 1024;  // 8 chunks of the 128 KiB state
-    config.dram_bytes = 48 * 1024;   // only 3 staging buffers
-    OrchestratorFixture fixture(128 * 1024, config);
-    for (std::uint64_t i = 1; i <= 10; ++i) {
-        fixture.checkpointer.before_update(i);
-        fixture.state.stamp(i);
-        fixture.checkpointer.request_checkpoint(i);
+    // 8 chunks of the 128 KiB state. One staging buffer copies inline;
+    // two and three cap the copy-engine lookahead at every buffer the
+    // snapshot may hold; sixteen leave the lookahead uncapped.
+    for (const int buffers : {1, 2, 3, 16}) {
+        SCOPED_TRACE(buffers);
+        PCcheckConfig config;
+        config.concurrent_checkpoints = 2;
+        config.chunk_bytes = 16 * 1024;
+        config.dram_bytes = static_cast<Bytes>(buffers) * 16 * 1024;
+        OrchestratorFixture fixture(128 * 1024, config);
+        ASSERT_EQ(fixture.checkpointer.staging_bytes(), config.dram_bytes);
+        for (std::uint64_t i = 1; i <= 10; ++i) {
+            fixture.checkpointer.before_update(i);
+            fixture.state.stamp(i);
+            fixture.checkpointer.request_checkpoint(i);
+        }
+        fixture.checkpointer.finish();
+        EXPECT_EQ(fixture.checkpointer.stats().completed, 10u);
+        std::vector<std::uint8_t> buffer;
+        const auto recovered = recover_to_buffer(fixture.device, &buffer);
+        ASSERT_TRUE(recovered.has_value());
+        EXPECT_EQ(recovered->iteration, 10u);
+        const auto stamped =
+            TrainingState::verify_buffer(buffer.data(), buffer.size());
+        ASSERT_TRUE(stamped.has_value());
+        EXPECT_EQ(*stamped, recovered->iteration);
     }
-    fixture.checkpointer.finish();
-    std::vector<std::uint8_t> buffer;
-    const auto recovered = recover_to_buffer(fixture.device, &buffer);
-    ASSERT_TRUE(recovered.has_value());
-    const auto stamped =
-        TrainingState::verify_buffer(buffer.data(), buffer.size());
-    ASSERT_TRUE(stamped.has_value());
-    EXPECT_EQ(*stamped, recovered->iteration);
 }
 
 TEST(OrchestratorTest, BeforeUpdateWaitsForSnapshot)
 {
-    // Throttle PCIe so the snapshot takes a visible amount of time.
-    GpuConfig gpu_config;
-    gpu_config.memory_bytes = 2 * kMiB;
-    gpu_config.pcie_bytes_per_sec = 10e6;  // 256 KiB ≈ 26 ms
-    SimGpu gpu(gpu_config);
-    TrainingState state(gpu, 256 * 1024);
-    MemStorage device(SlotStore::required_size(3, 256 * 1024));
-    PCcheckConfig config;
-    config.concurrent_checkpoints = 2;
-    PCcheckCheckpointer checkpointer(state, device, config);
+    // One whole-state chunk copied inline, then four chunks copied on
+    // the GPU copy engines: either way the update waits for the last
+    // byte of the GPU→DRAM copy, and the checkpoint holds the state
+    // as of the request even though the update follows at once.
+    for (const Bytes chunk : {Bytes{0}, Bytes{64 * 1024}}) {
+        SCOPED_TRACE(chunk);
+        // Throttle PCIe so the snapshot takes a visible amount of time.
+        GpuConfig gpu_config;
+        gpu_config.memory_bytes = 2 * kMiB;
+        gpu_config.pcie_bytes_per_sec = 10e6;  // 256 KiB ≈ 26 ms
+        SimGpu gpu(gpu_config);
+        TrainingState state(gpu, 256 * 1024);
+        MemStorage device(SlotStore::required_size(3, 256 * 1024));
+        PCcheckConfig config;
+        config.concurrent_checkpoints = 2;
+        config.chunk_bytes = chunk;
+        PCcheckCheckpointer checkpointer(state, device, config);
 
-    state.stamp(1);
-    checkpointer.request_checkpoint(1);
-    Stopwatch watch;
-    checkpointer.before_update(2);  // must wait for the GPU→DRAM copy
-    EXPECT_GE(watch.elapsed(), 0.01);
-    checkpointer.finish();
-    const auto stats = checkpointer.stats();
-    EXPECT_GE(stats.stall_time, 0.01);
+        state.stamp(1);
+        checkpointer.request_checkpoint(1);
+        Stopwatch watch;
+        checkpointer.before_update(2);  // must wait for the GPU→DRAM copy
+        EXPECT_GE(watch.elapsed(), 0.01);
+        state.stamp(2);
+        checkpointer.finish();
+        const auto stats = checkpointer.stats();
+        EXPECT_GE(stats.stall_time, 0.01);
+
+        std::vector<std::uint8_t> buffer;
+        const auto recovered = recover_to_buffer(device, &buffer);
+        ASSERT_TRUE(recovered.has_value());
+        EXPECT_EQ(recovered->iteration, 1u);
+        EXPECT_EQ(TrainingState::verify_buffer(buffer.data(), buffer.size()),
+                  std::optional<std::uint64_t>(1));
+    }
 }
 
 TEST(OrchestratorTest, InvalidConfigRejected)

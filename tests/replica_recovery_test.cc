@@ -65,6 +65,8 @@ tiny_model()
 struct SeedRun {
     std::uint64_t ops_after_warmup = 0;
     std::uint64_t ops_total = 0;
+    /** Absolute op index the node loss was armed at (0: none). */
+    std::uint64_t loss_op = 0;
     bool lost = false;  ///< the node_loss trigger fired
     /** Latest durable iteration before faults were armed. */
     std::uint64_t warm_iteration = 0;
@@ -78,12 +80,18 @@ struct SeedRun {
 /**
  * One full train → node-loss → drain cycle on a 3-node fabric: rank 0
  * trains and checkpoints locally while replicating to in-DRAM stores
- * on nodes 1 and 2 (replicas=2, quorum=1). With @p loss_op == 0 no
- * loss is armed (calibration: measures the shared op stream, which is
- * deterministic for a noise-free plan).
+ * on nodes 1 and 2 (replicas=2, quorum=1). The loss fires at the
+ * @p loss_offset-th op after this run's own warmup; with 0 no loss is
+ * armed (calibration: measures the shared op stream). The offset is
+ * relative because the warmup's op count is not fixed: its two
+ * checkpoints run concurrently, and when the newer one commits first
+ * the older one skips its pointer record. An absolute index taken from
+ * the calibration run could then land on the main checkpointer's
+ * device-open reads, whose failure sends it to a format that cannot
+ * succeed on dead media.
  */
 SeedRun
-run_training(std::uint64_t seed, std::uint64_t loss_op)
+run_training(std::uint64_t seed, std::uint64_t loss_offset)
 {
     SeedRun out;
     auto injector = std::make_shared<FaultInjector>(seed);
@@ -127,12 +135,13 @@ run_training(std::uint64_t seed, std::uint64_t loss_op)
     }
     out.ops_after_warmup = injector->ops();
 
-    if (loss_op > 0) {
+    if (loss_offset > 0) {
+        out.loss_op = out.ops_after_warmup + loss_offset;
         FaultRule loss;
         loss.point = "*";
         loss.action = FaultAction::kNodeLoss;
         loss.trigger = FaultTrigger::kNthOp;
-        loss.nth = loss_op;
+        loss.nth = out.loss_op;
         loss.limit = 1;
         FaultyStorage* raw = &device;
         SimNetwork* fabric = out.network.get();
@@ -185,10 +194,10 @@ TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 3000 + static_cast<std::uint64_t>(s);
         Rng pick(seed * 0x9E3779B97F4A7C15ULL);
-        const std::uint64_t loss_op =
-            calib.ops_after_warmup + 1 +
-            pick.next_below(calib.ops_total - calib.ops_after_warmup);
-        SeedRun run = run_training(seed, loss_op);
+        const std::uint64_t loss_offset =
+            1 + pick.next_below(calib.ops_total - calib.ops_after_warmup);
+        SeedRun run = run_training(seed, loss_offset);
+        const std::uint64_t loss_op = run.loss_op;
         if (!run.lost) {
             // Only legitimate when this run's op stream ended before
             // the chosen index; anything else is a harness bug.
